@@ -28,7 +28,7 @@
 // Usage:
 //
 //	hetpapid [-addr :8080] [-scenarios all|name,name,...] [-loop]
-//	         [-capacity N] [-downsample K] [-shards S] [-every T]
+//	         [-capacity N] [-shards S] [-every T]
 //	         [-request-timeout D] [-trace-capacity N]
 //	         [-slo-latency-ms 250] [-slo-error-pct 1]
 //	         [-profile] [-profile-period N] [-validate]
@@ -116,7 +116,6 @@ type config struct {
 	addr       string
 	scenarios  string
 	capacity   int
-	downsample int
 	shards     int
 	every      int
 	loop       bool
@@ -143,11 +142,10 @@ func main() {
 	flag.StringVar(&cfg.scenarios, "scenarios", "all",
 		"comma-separated reference scenario names to collect, or \"all\"")
 	flag.IntVar(&cfg.capacity, "capacity", 4096, "per-series ring capacity (stored points)")
-	flag.IntVar(&cfg.downsample, "downsample", 4, "raw samples averaged per stored point")
 	flag.IntVar(&cfg.shards, "shards", 8, "store lock shards")
 	flag.IntVar(&cfg.every, "every", 1, "sample every N simulator ticks")
 	flag.BoolVar(&cfg.loop, "loop", true, "restart scenarios when they finish")
-	flag.DurationVar(&cfg.reqTimeout, "request-timeout", 5*time.Second, "per-request handler timeout")
+	flag.DurationVar(&cfg.reqTimeout, "request-timeout", 5*time.Second, "per-request handler and header-read timeout")
 	flag.IntVar(&cfg.traceCap, "trace-capacity", spantrace.DefaultTrackCapacity,
 		"span-trace ring capacity per track, served at /trace (0 disables tracing)")
 	flag.Float64Var(&cfg.sloLatMs, "slo-latency-ms", httpobs.DefaultSLOLatencyMs,
@@ -225,9 +223,8 @@ func run(ctx context.Context, cfg config, logw io.Writer, ready chan<- string) e
 		return err
 	}
 	store := telemetry.NewStore(telemetry.Config{
-		Capacity:   cfg.capacity,
-		Downsample: cfg.downsample,
-		Shards:     cfg.shards,
+		Capacity: cfg.capacity,
+		Shards:   cfg.shards,
 	})
 	api := telemetry.NewServer(store, cfg.reqTimeout)
 	api.SetSLO(cfg.sloLatMs, cfg.sloErrPct)
@@ -302,7 +299,9 @@ func run(ctx context.Context, cfg config, logw io.Writer, ready chan<- string) e
 		}()
 	}
 
-	httpSrv := &http.Server{Handler: api.Handler()}
+	// TimeoutHandler only bounds handlers; ReadHeaderTimeout stops a client
+	// that never finishes its headers (slowloris) holding a connection.
+	httpSrv := &http.Server{Handler: api.Handler(), ReadHeaderTimeout: cfg.reqTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -42,7 +43,6 @@ func TestDaemonLiveQueries(t *testing.T) {
 		addr:       "127.0.0.1:0",
 		scenarios:  "homogeneous-powercap,dimensity-mixed-injects",
 		capacity:   2048,
-		downsample: 1,
 		shards:     8,
 		every:      1,
 		loop:       true, // keep collection hot for the whole test
@@ -252,7 +252,6 @@ func TestDaemonFleetEndpoint(t *testing.T) {
 		addr:         "127.0.0.1:0",
 		scenarios:    "homogeneous-powercap",
 		capacity:     256,
-		downsample:   1,
 		shards:       2,
 		every:        1,
 		loop:         false,
@@ -327,7 +326,6 @@ func TestDaemonValidateEndpoint(t *testing.T) {
 		addr:       "127.0.0.1:0",
 		scenarios:  "homogeneous-powercap",
 		capacity:   256,
-		downsample: 1,
 		shards:     2,
 		every:      1,
 		loop:       false,
@@ -376,6 +374,67 @@ func TestDaemonValidateEndpoint(t *testing.T) {
 	}
 	if len(card.Models) != 4 || len(card.Digest) != 64 {
 		t.Fatalf("scorecard models %v digest %q", card.Models, card.Digest)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestDaemonDropsSlowHeaderClient: a client that sends half a request
+// line and then stalls (slowloris) must be disconnected once
+// -request-timeout elapses, not hold its connection forever.
+func TestDaemonDropsSlowHeaderClient(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	cfg := config{
+		addr:       "127.0.0.1:0",
+		scenarios:  "homogeneous-powercap",
+		capacity:   256,
+		shards:     2,
+		every:      1,
+		loop:       false,
+		reqTimeout: timeout,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg, testWriter{t}, ready) }()
+
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /hea")); err != nil {
+		t.Fatal(err)
+	}
+	// The client's own deadline is far past the server's: a read that
+	// ends on it means the server never hung up. The server may send a
+	// 400 before closing; what matters is that it closes.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept a half-sent request open for %v", elapsed)
+	}
+	if elapsed < timeout/2 || elapsed > timeout+5*time.Second {
+		t.Fatalf("disconnected after %v, want about the %v request timeout", elapsed, timeout)
 	}
 
 	cancel()

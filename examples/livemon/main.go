@@ -24,7 +24,7 @@ import (
 
 func main() {
 	// The serving stack hetpapid runs: store, collector, HTTP API.
-	store := telemetry.NewStore(telemetry.Config{Capacity: 4096, Downsample: 4})
+	store := telemetry.NewStore(telemetry.Config{Capacity: 4096})
 	api := telemetry.NewServer(store, 5*time.Second)
 
 	spec := scenario.Spec{}

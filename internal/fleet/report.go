@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -13,9 +14,9 @@ import (
 )
 
 // Aggregate is one metric's distribution across the fleet's machines:
-// streaming moments from a Welford accumulator plus windowed quantiles
-// from a RingQuantile sized to the fleet, both fed in machine-index
-// order so the figures are identical at any worker count.
+// streaming moments from a Welford accumulator plus quantiles over every
+// machine's value, both fed in machine-index order so the figures are
+// identical at any worker count.
 type Aggregate struct {
 	N      int64   `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -28,25 +29,28 @@ type Aggregate struct {
 	P99    float64 `json:"p99"`
 }
 
-// agg pairs the two streaming accumulators behind an Aggregate.
+// agg accumulates one metric across machines: a Welford for the moments
+// and the values themselves, sorted once by finish for the quantiles.
 type agg struct {
-	w *stats.Welford
-	q *stats.RingQuantile
+	w  stats.Welford
+	vs []float64
 }
 
-func newAgg(capacity int) *agg {
-	return &agg{w: &stats.Welford{}, q: stats.NewRingQuantile(capacity)}
-}
-
+// add ingests one machine's value. NaN is dropped, as Welford drops it,
+// so the quantiles and the moments cover the same samples.
 func (a *agg) add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	a.w.Add(v)
-	a.q.Add(v)
+	a.vs = append(a.vs, v)
 }
 
 func (a *agg) finish() Aggregate {
 	if a.w.N() == 0 {
 		return Aggregate{}
 	}
+	sort.Float64s(a.vs)
 	return Aggregate{
 		N:      a.w.N(),
 		Mean:   a.w.Mean(),
@@ -54,9 +58,9 @@ func (a *agg) finish() Aggregate {
 		Min:    a.w.Min(),
 		Max:    a.w.Max(),
 		Sum:    a.w.Sum(),
-		P50:    a.q.Quantile(50),
-		P95:    a.q.Quantile(95),
-		P99:    a.q.Quantile(99),
+		P50:    stats.PercentileSorted(a.vs, 50),
+		P95:    stats.PercentileSorted(a.vs, 95),
+		P99:    stats.PercentileSorted(a.vs, 99),
 	}
 }
 
@@ -176,8 +180,7 @@ func buildReport(f *Fleet, results []MachineResult) *Report {
 		}
 	}
 
-	n := len(results)
-	elapsed, energy, gflops := newAgg(n), newAgg(n), newAgg(n)
+	elapsed, energy, gflops := &agg{}, &agg{}, &agg{}
 	byType := map[string]map[string]*agg{}
 	digest := sha256.New()
 	fmt.Fprintf(digest, "fleet seed=%d n=%d\n", f.Config.Seed, len(f.Machines))
@@ -230,8 +233,7 @@ func buildReport(f *Fleet, results []MachineResult) *Report {
 				m := byType[name]
 				if m == nil {
 					m = map[string]*agg{
-						"instructions": newAgg(n), "cycles": newAgg(n),
-						"llc_refs": newAgg(n), "llc_misses": newAgg(n),
+						"instructions": {}, "cycles": {}, "llc_refs": {}, "llc_misses": {},
 					}
 					byType[name] = m
 				}

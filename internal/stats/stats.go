@@ -24,13 +24,22 @@ func Mean(xs []float64) float64 {
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Percentile returns the p-th percentile (0-100) using linear
-// interpolation between closest ranks; 0 for an empty slice.
+// interpolation between closest ranks; 0 for an empty slice. The input is
+// not reordered.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over an already ascending slice, so a
+// caller that needs several percentiles sorts once. It returns 0 for an
+// empty slice or a NaN percentile: int(NaN) is platform-defined and
+// would index out of range.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 || math.IsNaN(p) {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

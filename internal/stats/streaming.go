@@ -5,13 +5,10 @@ import (
 	"sort"
 )
 
-// Streaming statistics for long-running monitoring: a telemetry store that
-// ingests thousands of samples per second cannot afford to re-sort a full
-// series on every aggregate query. Welford tracks mean/variance in O(1) per
-// sample over the whole stream; RingQuantile keeps the last K samples in a
-// ring alongside an incrementally maintained sorted view, so percentile
-// queries are O(1) interpolation and inserts are O(K) memmove with no
-// sorting at query time.
+// Streaming statistics for long-running monitoring. Welford tracks
+// mean/variance in O(1) per sample over the whole stream; RingQuantile
+// keeps a sliding window of the last K samples with an incrementally
+// sorted view: O(1) quantile queries for O(K) inserts.
 
 // Welford is the numerically stable streaming mean/variance accumulator
 // (Welford 1962). The zero value is ready to use.
@@ -156,37 +153,6 @@ func (r *RingQuantile) Add(x float64) {
 func (r *RingQuantile) N() int { return r.n }
 
 // Quantile returns the p-th percentile (0-100) of the current window with
-// the same closest-ranks interpolation as Percentile; 0 when empty. A NaN
-// percentile returns 0 — int(NaN) is platform-defined and would index out
-// of range.
-func (r *RingQuantile) Quantile(p float64) float64 {
-	if r.n == 0 || math.IsNaN(p) {
-		return 0
-	}
-	s := r.sorted
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Window returns the current window contents in insertion order (oldest
-// first), as a fresh slice.
-func (r *RingQuantile) Window() []float64 {
-	out := make([]float64, 0, r.n)
-	start := r.head - r.n
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.ring[(start+i+len(r.ring))%len(r.ring)])
-	}
-	return out
-}
+// the same closest-ranks interpolation as Percentile; 0 when empty or for
+// a NaN percentile.
+func (r *RingQuantile) Quantile(p float64) float64 { return PercentileSorted(r.sorted, p) }

@@ -122,16 +122,16 @@ func TestRingQuantileMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRingQuantileWindowOrder checks eviction order and the raw-window
-// accessor.
+// TestRingQuantileWindowOrder checks eviction order: the oldest samples
+// leave the window first.
 func TestRingQuantileWindowOrder(t *testing.T) {
 	r := NewRingQuantile(3)
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		r.Add(x)
 	}
-	w := r.Window()
-	if len(w) != 3 || w[0] != 3 || w[1] != 4 || w[2] != 5 {
-		t.Fatalf("window = %v, want [3 4 5]", w)
+	if r.N() != 3 || r.Quantile(0) != 3 || r.Quantile(50) != 4 || r.Quantile(100) != 5 {
+		t.Fatalf("window n=%d p0=%g p50=%g p100=%g, want [3 4 5]",
+			r.N(), r.Quantile(0), r.Quantile(50), r.Quantile(100))
 	}
 }
 

@@ -80,8 +80,8 @@ type MachineInfo struct {
 // SeriesInfo is one entry of the /series payload.
 type SeriesInfo struct {
 	Name string `json:"name"`
-	// Points is the stored (post-downsample) ring fill; Agg.Count is the
-	// raw ingested sample count.
+	// Points is the raw ring fill (at most Capacity); Agg.Count is the
+	// lifetime ingested sample count.
 	Points int       `json:"points"`
 	Agg    Aggregate `json:"agg"`
 }

@@ -171,9 +171,10 @@ func (st *Store) FleetQuery(req FleetQueryRequest) (FleetQueryResponse, error) {
 		g.Machines = len(machines)
 		g.Mean = w.Mean()
 		g.Stddev = w.Stddev()
-		g.P50 = stats.Percentile(means, 50)
-		g.P95 = stats.Percentile(means, 95)
-		g.P99 = stats.Percentile(means, 99)
+		sort.Float64s(means)
+		g.P50 = stats.PercentileSorted(means, 50)
+		g.P95 = stats.PercentileSorted(means, 95)
+		g.P99 = stats.PercentileSorted(means, 99)
 		if req.Timeline {
 			sort.Float64s(times)
 			g.Timeline = make([]Point, 0, len(times))

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"hetpapi/internal/stats"
 )
 
 // FuzzRungDownsample feeds an arbitrary byte-derived sample stream into
@@ -12,7 +14,10 @@ import (
 // starts are width-aligned and strictly increasing, every bucket is
 // internally consistent (N > 0, Min <= Max, Min <= Mean <= Max), and
 // the coarsest rung that never wrapped accounts for every accepted
-// sample.
+// sample. It also holds the query-time aggregate to its oracles:
+// Aggregate's percentiles equal the batch Percentile over the stored
+// points, and Last equals both Aggregate.Last and the newest stored
+// point.
 func FuzzRungDownsample(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1})
@@ -24,6 +29,16 @@ func FuzzRungDownsample(f *testing.F) {
 		seed = append(seed, b[:]...)
 	}
 	f.Add(seed)
+	// Falling values past the 32-point raw ring: the ring wraps and its
+	// storage order is neither time nor value order.
+	wrap := make([]byte, 0, 40*16)
+	for i := 0; i < 40; i++ {
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(i)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(float64(100-3*i%7-i)))
+		wrap = append(wrap, b[:]...)
+	}
+	f.Add(wrap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st := NewStore(Config{Capacity: 32, RungCapacity: 16, Shards: 1})
@@ -45,6 +60,7 @@ func FuzzRungDownsample(f *testing.F) {
 		if got := st.Rejected(); got != int64(0) && accepted+got == 0 {
 			t.Fatalf("rejected %d with no inputs", got)
 		}
+		checkAggregateOracle(t, st, k, accepted)
 		for _, r := range Rungs() {
 			pts, ok := st.RungRange(k, r, -1, -1)
 			if accepted == 0 {
@@ -83,4 +99,40 @@ func FuzzRungDownsample(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkAggregateOracle compares the store's query-time aggregate with
+// batch recomputation over the series' stored points.
+func checkAggregateOracle(t *testing.T, st *Store, k Key, accepted int64) {
+	t.Helper()
+	agg, aggOK := st.Aggregate(k)
+	last, lastOK := st.Last(k)
+	pts, snapOK := st.Snapshot(k)
+	if accepted == 0 {
+		if aggOK || lastOK || snapOK {
+			t.Fatalf("series present with no accepted samples: agg %v last %v snapshot %v", aggOK, lastOK, snapOK)
+		}
+		return
+	}
+	if !aggOK || !lastOK || !snapOK || len(pts) == 0 {
+		t.Fatalf("series missing after %d accepted samples: agg %v last %v snapshot %d", accepted, aggOK, lastOK, len(pts))
+	}
+	if agg.Count != accepted {
+		t.Fatalf("Aggregate.Count = %d, accepted %d", agg.Count, accepted)
+	}
+	vals := make([]float64, len(pts))
+	for i, p := range pts {
+		vals[i] = p.Value
+	}
+	for _, c := range []struct {
+		p   float64
+		got float64
+	}{{50, agg.P50}, {95, agg.P95}, {99, agg.P99}} {
+		if want := stats.Percentile(vals, c.p); c.got != want {
+			t.Fatalf("Aggregate p%g = %g, batch Percentile over the stored points %g", c.p, c.got, want)
+		}
+	}
+	if newest := pts[len(pts)-1].Value; last != agg.Last || last != newest {
+		t.Fatalf("Last = %g, Aggregate.Last = %g, newest stored point %g", last, agg.Last, newest)
+	}
 }

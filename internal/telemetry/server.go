@@ -527,13 +527,13 @@ func (s *Server) handleDegradations(w http.ResponseWriter, r *http.Request) {
 		bounds := map[string]float64{}
 		var events []string
 		for _, name := range s.store.SeriesOf(machine) {
-			agg, ok := s.store.Aggregate(Key{machine, name})
+			last, ok := s.store.Last(Key{machine, name})
 			if !ok {
 				continue
 			}
 			switch {
 			case strings.HasPrefix(name, "degradation/"):
-				info.Counters[strings.TrimPrefix(name, "degradation/")] = agg.Last
+				info.Counters[strings.TrimPrefix(name, "degradation/")] = last
 			case strings.HasPrefix(name, "measure/"):
 				parts := strings.Split(name, "/")
 				if len(parts) != 3 {
@@ -541,10 +541,10 @@ func (s *Server) handleDegradations(w http.ResponseWriter, r *http.Request) {
 				}
 				switch parts[2] {
 				case "final":
-					finals[parts[1]] = agg.Last
+					finals[parts[1]] = last
 					events = append(events, parts[1])
 				case "error_bound":
-					bounds[parts[1]] = agg.Last
+					bounds[parts[1]] = last
 				}
 			}
 		}
@@ -730,27 +730,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, machine := range s.store.Machines() {
 		ml := fmt.Sprintf("machine=%q", machine)
 		for _, name := range s.store.SeriesOf(machine) {
-			agg, ok := s.store.Aggregate(Key{machine, name})
+			last, ok := s.store.Last(Key{machine, name})
 			if !ok {
 				continue
 			}
 			switch {
 			case strings.HasPrefix(name, "cpu") && strings.HasSuffix(name, "_mhz"):
 				cpu := strings.TrimSuffix(strings.TrimPrefix(name, "cpu"), "_mhz")
-				freq.add(fmt.Sprintf("%s,cpu=%q", ml, cpu), agg.Last)
+				freq.add(fmt.Sprintf("%s,cpu=%q", ml, cpu), last)
 			case name == "temp_c":
-				temp.add(ml, agg.Last)
+				temp.add(ml, last)
 			case name == "power_w":
-				pwr.add(ml, agg.Last)
+				pwr.add(ml, last)
 			case name == "wall_w":
-				wall.add(ml, agg.Last)
+				wall.add(ml, last)
 			case name == "energy_j":
-				energy.add(ml, agg.Last)
+				energy.add(ml, last)
 			case strings.HasPrefix(name, "degradation/"):
-				degr.add(fmt.Sprintf("%s,action=%q", ml, strings.TrimPrefix(name, "degradation/")), agg.Last)
+				degr.add(fmt.Sprintf("%s,action=%q", ml, strings.TrimPrefix(name, "degradation/")), last)
 			default:
 				if cpu, typeName, kind, ok := parseCounterSeries(name); ok {
-					ctr.add(fmt.Sprintf("%s,cpu=%q,type=%q,kind=%q", ml, cpu, typeName, kind), agg.Last)
+					ctr.add(fmt.Sprintf("%s,cpu=%q,type=%q,kind=%q", ml, cpu, typeName, kind), last)
 				}
 			}
 		}

@@ -16,12 +16,11 @@
 // short-lived machines pays for the points it stores, not for the
 // capacity it reserves.
 //
-// Aggregates are streaming: every series maintains a Welford
-// mean/variance over its whole lifetime and a RingQuantile window for
-// p50/p95/p99 (internal/stats), so aggregate queries are O(1) lookups —
-// no re-sorting of the series on query, the cost model Diamond et al.'s
-// RAPL-overhead study demands of a collector that must account for its
-// own sampling cost.
+// Each sample is stored once. Every series folds a lifetime Welford
+// mean/variance in O(1) at ingest (internal/stats); p50/p95/p99 are
+// taken from the raw ring at query time, sorting at most Capacity values
+// outside the lock, and Last never sorts — ingest pays no quantile
+// upkeep, the cost model Diamond et al.'s RAPL-overhead study demands.
 //
 // Downsampling rungs: alongside the raw ring, every series maintains one
 // ring of mergeable bucket aggregates (stats.Bucket) per rung resolution
@@ -55,13 +54,8 @@ func (k Key) String() string { return k.Machine + "/" + k.Series }
 // Config sizes the store.
 type Config struct {
 	// Capacity is the per-series raw ring capacity in stored points
-	// (default 4096). The percentile window has the same size.
+	// (default 4096). Aggregate's percentiles cover the same window.
 	Capacity int
-	// Downsample is the number of raw samples averaged into one stored
-	// point (default 1 = store raw). Streaming aggregates and the rungs
-	// always see the raw values; downsampling only bounds what
-	// Snapshot/Range return.
-	Downsample int
 	// Shards is the number of lock shards (default 8).
 	Shards int
 	// RungCapacity is the per-series, per-rung ring capacity in closed
@@ -74,9 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 4096
-	}
-	if c.Downsample <= 0 {
-		c.Downsample = 1
 	}
 	if c.Shards <= 0 {
 		c.Shards = 8
@@ -106,6 +97,14 @@ func (r *ring[T]) push(v T) {
 }
 
 func (r *ring[T]) len() int { return len(r.buf) }
+
+// appendValues appends a raw ring's values, unordered, onto dst.
+func appendValues(dst []float64, r *ring[Point]) []float64 {
+	for _, p := range r.buf {
+		dst = append(dst, p.Value)
+	}
+	return dst
+}
 
 // appendTo appends the ring contents, oldest first, onto dst.
 func (r *ring[T]) appendTo(dst []T) []T {
@@ -166,20 +165,15 @@ func (rs *rungState) appendWindow(fromSec, toSec float64, dst []RungPoint) []Run
 	return dst
 }
 
-// series is one ring-buffered signal plus its streaming aggregates and
+// series is one ring-buffered signal plus its lifetime aggregate and
 // downsampling rungs. Guarded by its shard's mutex.
 type series struct {
 	raw ring[Point]
 	agg stats.Welford
-	win *stats.RingQuantile
 
 	// rungs holds one downsampling state per non-raw rung, indexed by
 	// Rung-1 (Rung1s first).
 	rungs [numRungs - 1]rungState
-
-	// Downsample accumulator: accN raw samples pending, summing accSum.
-	accN   int
-	accSum float64
 }
 
 type shard struct {
@@ -260,10 +254,7 @@ func (st *Store) Append(k Key, timeSec, value float64) {
 	sh.mu.Lock()
 	s := sh.series[k]
 	if s == nil {
-		s = &series{
-			raw: ring[Point]{max: st.cfg.Capacity},
-			win: stats.NewRingQuantile(st.cfg.Capacity),
-		}
+		s = &series{raw: ring[Point]{max: st.cfg.Capacity}}
 		for i := range s.rungs {
 			s.rungs[i] = rungState{
 				width: Rung(i + 1).Width(),
@@ -273,21 +264,14 @@ func (st *Store) Append(k Key, timeSec, value float64) {
 		sh.series[k] = s
 	}
 	s.agg.Add(value)
-	s.win.Add(value)
+	s.raw.push(Point{TimeSec: timeSec, Value: value})
 	for i := range s.rungs {
 		s.rungs[i].add(timeSec, value)
-	}
-	s.accSum += value
-	s.accN++
-	if s.accN >= st.cfg.Downsample {
-		s.raw.push(Point{TimeSec: timeSec, Value: s.accSum / float64(s.accN)})
-		s.accN, s.accSum = 0, 0
 	}
 	sh.mu.Unlock()
 }
 
-// Len returns the number of stored (post-downsample) points of a series,
-// 0 when absent.
+// Len returns the number of stored points of a series, 0 when absent.
 func (st *Store) Len(k Key) int {
 	sh := st.shardOf(k)
 	sh.mu.RLock()
@@ -393,21 +377,47 @@ func (st *Store) RungRangeInto(k Key, r Rung, fromSec, toSec float64, dst []Rung
 	return dst, true
 }
 
-// Aggregate returns the streaming aggregate of a series: lifetime
+// Aggregate returns the aggregate of a series: lifetime
 // count/sum/mean/stddev/min/max/last from the Welford accumulator and
-// windowed p50/p95/p99 over the last Capacity raw samples.
+// p50/p95/p99 over the raw ring (the last Capacity samples), copied out
+// under the read lock and sorted after it is released.
 func (st *Store) Aggregate(k Key) (Aggregate, bool) {
 	sh := st.shardOf(k)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	s := sh.series[k]
 	if s == nil {
+		sh.mu.RUnlock()
 		return Aggregate{}, false
 	}
-	return aggregateOf(&s.agg, s.win), true
+	w := s.agg
+	bufp := valueBufPool.Get().(*[]float64)
+	*bufp = appendValues((*bufp)[:0], &s.raw)
+	sh.mu.RUnlock()
+	agg := summarize(&w, *bufp)
+	valueBufPool.Put(bufp)
+	return agg, true
 }
 
-func aggregateOf(w *stats.Welford, win *stats.RingQuantile) Aggregate {
+// Last returns the most recent sample of a series and whether it exists:
+// the O(1) read for scrapers (/metrics, /degradations) that need no
+// quantiles.
+func (st *Store) Last(k Key) (float64, bool) {
+	sh := st.shardOf(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if s := sh.series[k]; s != nil {
+		return s.agg.Last(), true
+	}
+	return 0, false
+}
+
+// valueBufPool recycles Aggregate's percentile scratch slices.
+var valueBufPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// summarize builds an Aggregate from a Welford accumulator and the window
+// values behind its percentiles, sorting window in place once.
+func summarize(w *stats.Welford, window []float64) Aggregate {
+	sort.Float64s(window)
 	return Aggregate{
 		Count:  w.N(),
 		Sum:    w.Sum(),
@@ -416,9 +426,9 @@ func aggregateOf(w *stats.Welford, win *stats.RingQuantile) Aggregate {
 		Min:    w.Min(),
 		Max:    w.Max(),
 		Last:   w.Last(),
-		P50:    win.Quantile(50),
-		P95:    win.Quantile(95),
-		P99:    win.Quantile(99),
+		P50:    stats.PercentileSorted(window, 50),
+		P95:    stats.PercentileSorted(window, 95),
+		P99:    stats.PercentileSorted(window, 99),
 	}
 }
 
@@ -544,7 +554,7 @@ func parseEventSeries(name string) (typeName, kind string, ok bool) {
 // exactly (the per-core-type mean/stddev of the per-sample values),
 // LastSum is the sum of each member's last value (the system-wide per-type
 // counter total, since the series carry cumulative counts), and
-// percentiles are computed over the members' combined recent windows.
+// percentiles are computed over the members' combined raw rings.
 func (st *Store) TypeAggregates(machine, kind string) []TypeAggregate {
 	type group struct {
 		n       int
@@ -570,7 +580,7 @@ func (st *Store) TypeAggregates(machine, kind string) []TypeAggregate {
 			}
 			g.n++
 			g.w.Merge(s.agg)
-			g.window = append(g.window, s.win.Window()...)
+			g.window = appendValues(g.window, &s.raw)
 			g.lastSum += s.agg.Last()
 		}
 		sh.mu.RUnlock()
@@ -583,19 +593,7 @@ func (st *Store) TypeAggregates(machine, kind string) []TypeAggregate {
 	out := make([]TypeAggregate, 0, len(names))
 	for _, name := range names {
 		g := groups[name]
-		agg := Aggregate{
-			Count:  g.w.N(),
-			Sum:    g.w.Sum(),
-			Mean:   g.w.Mean(),
-			Stddev: g.w.Stddev(),
-			Min:    g.w.Min(),
-			Max:    g.w.Max(),
-			Last:   g.w.Last(),
-			P50:    stats.Percentile(g.window, 50),
-			P95:    stats.Percentile(g.window, 95),
-			P99:    stats.Percentile(g.window, 99),
-		}
-		out = append(out, TypeAggregate{Type: name, Series: g.n, LastSum: g.lastSum, Agg: agg})
+		out = append(out, TypeAggregate{Type: name, Series: g.n, LastSum: g.lastSum, Agg: summarize(&g.w, g.window)})
 	}
 	return out
 }

@@ -36,30 +36,6 @@ func TestStoreRingWrapAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestStoreDownsampleAveragesRawPoints(t *testing.T) {
-	st := NewStore(Config{Capacity: 8, Downsample: 2})
-	k := Key{"m", "s"}
-	for i, v := range []float64{10, 20, 30, 50, 70} {
-		st.Append(k, float64(i), v)
-	}
-	pts, _ := st.Snapshot(k)
-	// Pairs (10,20) and (30,50) complete; 70 is still accumulating.
-	if len(pts) != 2 {
-		t.Fatalf("got %d stored points, want 2", len(pts))
-	}
-	if pts[0].Value != 15 || pts[0].TimeSec != 1 {
-		t.Fatalf("first stored point %+v, want avg 15 at t=1", pts[0])
-	}
-	if pts[1].Value != 40 || pts[1].TimeSec != 3 {
-		t.Fatalf("second stored point %+v, want avg 40 at t=3", pts[1])
-	}
-	// Streaming aggregates see every raw sample.
-	agg, _ := st.Aggregate(k)
-	if agg.Count != 5 || agg.Last != 70 || agg.Min != 10 || agg.Max != 70 {
-		t.Fatalf("aggregate over raw samples wrong: %+v", agg)
-	}
-}
-
 func TestStoreRange(t *testing.T) {
 	st := NewStore(Config{})
 	k := Key{"m", "s"}
