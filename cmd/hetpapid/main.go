@@ -94,6 +94,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -218,6 +219,12 @@ func knownNames(specs []scenario.Spec) []string {
 // cancelled (or the listener fails). When ready is non-nil it receives
 // the bound listen address once serving, which lets tests use ":0".
 func run(ctx context.Context, cfg config, logw io.Writer, ready chan<- string) error {
+	if !(cfg.sloLatMs > 0) || math.IsInf(cfg.sloLatMs, 1) {
+		return fmt.Errorf("-slo-latency-ms %v: want a finite target > 0", cfg.sloLatMs)
+	}
+	if !(cfg.sloErrPct >= 0 && cfg.sloErrPct <= 100) {
+		return fmt.Errorf("-slo-error-pct %v: want a rate in [0, 100]", cfg.sloErrPct)
+	}
 	specs, err := resolveSpecs(cfg.scenarios)
 	if err != nil {
 		return err

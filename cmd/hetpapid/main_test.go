@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -32,6 +33,34 @@ func TestResolveSpecs(t *testing.T) {
 	}
 	if _, err := resolveSpecs(" , "); err == nil {
 		t.Fatal("empty selection must error")
+	}
+}
+
+// TestRunRejectsBadSLO checks that run refuses SLO targets /status
+// could not judge against: a latency target of 0 would mark every
+// endpoint as burning. The context is already cancelled, so a run that
+// wrongly starts shuts straight down instead of blocking the test.
+func TestRunRejectsBadSLO(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name          string
+		latMs, errPct float64
+		flag          string
+	}{
+		{"zero latency", 0, 1, "-slo-latency-ms"},
+		{"negative latency", -5, 1, "-slo-latency-ms"},
+		{"infinite latency", math.Inf(1), 1, "-slo-latency-ms"},
+		{"NaN latency", math.NaN(), 1, "-slo-latency-ms"},
+		{"negative error rate", 250, -0.5, "-slo-error-pct"},
+		{"error rate over 100", 250, 100.5, "-slo-error-pct"},
+		{"NaN error rate", 250, math.NaN(), "-slo-error-pct"},
+	} {
+		cfg := config{addr: "127.0.0.1:0", scenarios: "all", sloLatMs: c.latMs, sloErrPct: c.errPct}
+		err := run(ctx, cfg, io.Discard, nil)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: run err = %v, want a %s error", c.name, err, c.flag)
+		}
 	}
 }
 
@@ -260,6 +289,8 @@ func TestDaemonFleetEndpoint(t *testing.T) {
 		fleetSeed:    7,
 		fleetStagger: 0.3,
 		fleetChaos:   0.5,
+		sloLatMs:     250,
+		sloErrPct:    1,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -331,6 +362,8 @@ func TestDaemonValidateEndpoint(t *testing.T) {
 		loop:       false,
 		reqTimeout: 5 * time.Second,
 		validate:   true,
+		sloLatMs:   250,
+		sloErrPct:  1,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
@@ -400,6 +433,8 @@ func TestDaemonDropsSlowHeaderClient(t *testing.T) {
 		every:      1,
 		loop:       false,
 		reqTimeout: timeout,
+		sloLatMs:   250,
+		sloErrPct:  1,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"hetpapi/internal/stats"
 	"hetpapi/internal/telemetry"
 )
 
@@ -20,9 +21,6 @@ type AnomalyConfig struct {
 	// (<= 0 selects 8): median/MAD over fewer machines is too noisy to
 	// call anything an outlier.
 	MinMachines int
-	// Rung selects the downsampling resolution the per-machine features
-	// are summarized from (0 selects Rung1s).
-	Rung telemetry.Rung
 }
 
 func (c AnomalyConfig) withDefaults() AnomalyConfig {
@@ -31,9 +29,6 @@ func (c AnomalyConfig) withDefaults() AnomalyConfig {
 	}
 	if c.MinMachines <= 0 {
 		c.MinMachines = 8
-	}
-	if c.Rung <= telemetry.RungRaw {
-		c.Rung = telemetry.Rung1s
 	}
 	return c
 }
@@ -63,21 +58,6 @@ func (a Anomaly) String() string {
 // call for a population that agrees exactly.
 func robustScore(x, median, mad float64) float64 {
 	return math.Abs(x-median) / (1.4826*mad + 1e-12)
-}
-
-// medianOf returns the median of xs (sorted copy; mean of middle pair
-// for even n). Empty input returns 0.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[m]
-	}
-	return (s[m-1] + s[m]) / 2
 }
 
 // DetectAnomalies scores every machine's streamed rung summaries
@@ -143,7 +123,7 @@ func DetectAnomalies(store *telemetry.Store, f *Fleet, cfg AnomalyConfig) []Anom
 			var values []float64
 			var members []int
 			for _, i := range idxs {
-				b, ok := summarize(store, f.Machines[i].ID, ft.series, cfg.Rung)
+				b, ok := summarize(store, f.Machines[i].ID, ft.series)
 				if !ok {
 					continue
 				}
@@ -153,12 +133,12 @@ func DetectAnomalies(store *telemetry.Store, f *Fleet, cfg AnomalyConfig) []Anom
 			if len(values) < cfg.MinMachines {
 				continue
 			}
-			med := medianOf(values)
+			med := stats.Median(values)
 			devs := make([]float64, len(values))
 			for i, v := range values {
 				devs[i] = math.Abs(v - med)
 			}
-			mad := medianOf(devs)
+			mad := stats.Median(devs)
 			for i, v := range values {
 				if score := robustScore(v, med, mad); score > cfg.Threshold {
 					out = append(out, scored{members[i], Anomaly{
@@ -193,8 +173,10 @@ type bucketSummary struct {
 	n                    int64
 }
 
-func summarize(store *telemetry.Store, machine, series string, r telemetry.Rung) (bucketSummary, bool) {
-	b, ok := store.RungSummary(telemetry.Key{Machine: machine, Series: series}, r, -1, -1)
+// summarize reads the series' 1s-rung summary over the whole retained
+// window.
+func summarize(store *telemetry.Store, machine, series string) (bucketSummary, bool) {
+	b, ok := store.RungSummary(telemetry.Key{Machine: machine, Series: series}, telemetry.Rung1s, -1, -1)
 	if !ok || b.N == 0 {
 		return bucketSummary{}, false
 	}

@@ -19,11 +19,10 @@ type ChaosConfig struct {
 	// fault plan.
 	IncidentRate float64
 	// MaxEvents bounds each machine's plan length (0 = the faults
-	// package default of 8).
+	// package default of 8). Counter-budget caps take the faults
+	// package's floor of 1, so chaos plans degrade multiplexing without
+	// making a PMU unschedulable.
 	MaxEvents int
-	// MinBudget floors counter-budget caps (0 = default 1), so chaos
-	// plans degrade multiplexing without making a PMU unschedulable.
-	MinBudget int
 }
 
 func (c *ChaosConfig) validate() error {
@@ -32,9 +31,6 @@ func (c *ChaosConfig) validate() error {
 	}
 	if c.MaxEvents < 0 {
 		return fmt.Errorf("fleet: negative chaos MaxEvents %d", c.MaxEvents)
-	}
-	if c.MinBudget < 0 {
-		return fmt.Errorf("fleet: negative chaos MinBudget %d", c.MinBudget)
 	}
 	return nil
 }
@@ -47,10 +43,7 @@ func (c *ChaosConfig) validate() error {
 // spec's run bound, so hold-type faults always heal before the run can
 // end on MaxSeconds.
 func (c *ChaosConfig) profileFor(m *hw.Machine, spec *scenario.Spec) faults.Profile {
-	p := faults.Profile{
-		MaxEvents: c.MaxEvents,
-		MinBudget: c.MinBudget,
-	}
+	p := faults.Profile{MaxEvents: c.MaxEvents}
 	p.HorizonSec = spec.MaxSeconds
 	if p.HorizonSec <= 0 {
 		p.HorizonSec = 60 // the scenario harness default run bound

@@ -42,6 +42,9 @@ func buildTrace(t *testing.T) *Trace {
 	}
 	r.Instant(kern, "sys.open", "syscall", 0.1,
 		spantrace.Str("err", "EBUSY"), spantrace.Num("wall_ns", 900))
+	// 2^49-1 ns: the largest value of log2 bucket 48.
+	r.Instant(kern, "sys.ioctl", "syscall", 0.2,
+		spantrace.Err(nil), spantrace.Num("wall_ns", 562949953421311))
 	r.Instant(papi, "degrade.busy-retry", "degrade", 0.2)
 	r.Instant(papi, "degrade.busy-retry", "degrade", 0.3)
 	r.Instant(kern, "fault.hotplug-off", "fault", 1.5, spantrace.Int("cpu", 1))
@@ -127,6 +130,9 @@ func TestAnalyzeSyscalls(t *testing.T) {
 	op := rep.Syscalls["open"]
 	if op == nil || op.Errors["EBUSY"] != 1 {
 		t.Fatalf("open stats = %+v", op)
+	}
+	if io := rep.Syscalls["ioctl"]; io == nil || io.Buckets[48] != 1 || len(io.Buckets) != 1 {
+		t.Errorf("ioctl histogram = %+v, want 2^49-1 ns in bucket 48", io)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used by the experiment
-// drivers and the monitoring tools: mean, median, standard deviation and
-// percentiles over float64 series.
+// drivers and the monitoring tools: mean, median, standard deviation,
+// percentiles and log2 histogram buckets over float64 series.
 package stats
 
 import (
@@ -54,6 +54,23 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// Log2Bucket returns floor(log2(x)) for x >= 1 and 0 for smaller x
+// (NaN included): the index i of the power-of-two bucket [2^i, 2^(i+1))
+// holding x. It reads the binary exponent, so it is exact for every
+// float64; math.Floor(math.Log2(x)) rounds up to the next bucket just
+// below powers of two from 2^49. +Inf maps to 1024, one past the
+// largest finite bucket.
+func Log2Bucket(x float64) int {
+	if !(x >= 1) {
+		return 0
+	}
+	if math.IsInf(x, 1) {
+		return 1024
+	}
+	_, exp := math.Frexp(x) // x = frac·2^exp, frac in [0.5, 1)
+	return exp - 1
 }
 
 // Stddev returns the population standard deviation, or 0 for fewer than

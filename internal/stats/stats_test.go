@@ -29,6 +29,35 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+func TestLog2Bucket(t *testing.T) {
+	cases := []struct {
+		x    float64
+		want int
+	}{
+		{-5, 0}, {0, 0}, {0.5, 0}, {1, 0}, {2, 1}, {3, 1}, {1024, 10},
+		{2_000_000, 20}, {1 << 39, 39}, {1 << 62, 62},
+		// 2^49-1: math.Floor(math.Log2(x)) rounds this up to 49.
+		{562949953421311, 48},
+		{math.NaN(), 0}, {math.Inf(-1), 0}, {math.Inf(1), 1024},
+	}
+	for _, c := range cases {
+		if got := Log2Bucket(c.x); got != c.want {
+			t.Errorf("Log2Bucket(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+	// Every power of two opens its own bucket, and the largest float
+	// below it still sits in the bucket before.
+	for k := 1; k <= 1023; k++ {
+		p := math.Ldexp(1, k)
+		if got := Log2Bucket(p); got != k {
+			t.Fatalf("Log2Bucket(2^%d) = %d", k, got)
+		}
+		if got := Log2Bucket(math.Nextafter(p, 0)); got != k-1 {
+			t.Fatalf("Log2Bucket(prev(2^%d)) = %d, want %d", k, got, k-1)
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{

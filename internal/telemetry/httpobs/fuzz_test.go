@@ -1,6 +1,7 @@
 package httpobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,12 +15,15 @@ import (
 // the middleware (each input byte triple picks an endpoint, a status
 // code and a latency) and checks the /status invariants: totals equal
 // per-endpoint sums across every counter family, rates stay in [0,
-// 100], percentiles are ordered, the slow ring never exceeds its
-// capacity, and the report survives a JSON round trip.
+// 100], percentiles are ordered, the slow ring holds exactly the most
+// recent requests at or over the slow threshold up to its capacity and
+// counts the rest as dropped, and the report survives a JSON round
+// trip.
 func FuzzStatusEndpoint(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Add([]byte{1, 9, 200, 2, 13, 0, 3, 4, 255})
 	f.Add([]byte{7, 250, 8, 7, 250, 8, 7, 250, 8, 7, 250, 8})
+	f.Add(bytes.Repeat([]byte{1, 0, 200}, slowRingCapacity+6)) // wraps the slow ring
 
 	paths := []string{"/health", "/series", "/query", "/fleet/query", "/metrics"}
 	statuses := []int{200, 200, 204, 301, 400, 404, 500, 503}
@@ -27,13 +31,10 @@ func FuzzStatusEndpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clock := newFakeClock()
 		o := New(Config{
-			Endpoints:        paths[:3], // the rest land in "other"
-			SlowRingCapacity: 4,
-			SlowThreshold:    2 * time.Millisecond,
-			QuantileWindow:   32,
-			SLOLatencyMs:     5,
-			Now:              clock.Now,
+			Endpoints: paths[:3], // the rest land in "other"
+			Now:       clock.Now,
 		})
+		o.SetSLO(5, DefaultSLOErrorPct)
 		inner := func(w http.ResponseWriter, r *http.Request) {
 			code := statuses[0]
 			if c := r.Header.Get("X-Code"); c != "" {
@@ -49,11 +50,17 @@ func FuzzStatusEndpoint(f *testing.F) {
 		}
 		h := o.Middleware(http.HandlerFunc(inner))
 
-		var want uint64
+		var want, wantSlow uint64
 		for i := 0; i+2 < len(data); i += 3 {
 			path := paths[int(data[i])%len(paths)]
 			code := statuses[int(data[i+1])%len(statuses)]
-			clock.setStep(time.Duration(data[i+2]) * 100 * time.Microsecond)
+			// 5ms per unit: a latency byte >= 20 crosses the 100ms slow
+			// threshold.
+			step := time.Duration(data[i+2]) * 5 * time.Millisecond
+			if step >= slowThreshold {
+				wantSlow++
+			}
+			clock.setStep(step)
 			req := httptest.NewRequest("GET", path, strings.NewReader("in"))
 			req.Header.Set("X-Code", fmt.Sprint(code))
 			h.ServeHTTP(httptest.NewRecorder(), req)
@@ -99,8 +106,10 @@ func FuzzStatusEndpoint(f *testing.F) {
 		if sumErr != st.Errors {
 			t.Fatalf("error sum %d != total %d", sumErr, st.Errors)
 		}
-		if len(st.SlowRequests) > 4 {
-			t.Fatalf("slow ring over capacity: %d", len(st.SlowRequests))
+		held := min(wantSlow, slowRingCapacity)
+		if uint64(len(st.SlowRequests)) != held || st.SlowDropped != wantSlow-held {
+			t.Fatalf("slow ring holds %d, dropped %d; want %d, %d",
+				len(st.SlowRequests), st.SlowDropped, held, wantSlow-held)
 		}
 		for _, b := range st.Burns {
 			if b.Kind != "latency" && b.Kind != "error" {

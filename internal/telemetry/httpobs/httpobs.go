@@ -3,7 +3,9 @@
 // mounted endpoint with per-endpoint latency histograms, status-class
 // and error counters, in-flight and bytes-in/out gauges, a gzip-hit
 // ratio, and a bounded slow-request ring — plus per-endpoint SLO
-// attainment against configurable latency and error-rate targets.
+// attainment against latency and error-rate targets set with SetSLO.
+// The percentile window, ring size and slow threshold are fixed
+// constants; Config carries only the endpoint list and a test clock.
 //
 // Design constraints follow the repo's monitoring discipline (the RAPL
 // overhead study: a monitor's own cost must be measured, not assumed;
@@ -31,7 +33,6 @@ package httpobs
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"net/http"
 	"sort"
 	"sync"
@@ -42,19 +43,10 @@ import (
 	"hetpapi/internal/stats"
 )
 
-// Defaults.
+// Serving targets and limits.
 const (
-	// DefaultSlowRingCapacity bounds the slow-request ring.
-	DefaultSlowRingCapacity = 64
-	// DefaultSlowThreshold is the latency above which a request enters
-	// the slow ring.
-	DefaultSlowThreshold = 100 * time.Millisecond
-	// DefaultQuantileWindow sizes the per-endpoint RingQuantile window
-	// backing p50/p95/p99. Inserts are O(window) memmoves, so the window
-	// trades percentile fidelity against the per-request budget.
-	DefaultQuantileWindow = 256
-	// DefaultSLOLatencyMs / DefaultSLOErrorPct are the serving targets
-	// used when the daemon passes none.
+	// DefaultSLOLatencyMs / DefaultSLOErrorPct are the serving targets an
+	// observer starts with, until SetSLO retargets it.
 	DefaultSLOLatencyMs = 250.0
 	DefaultSLOErrorPct  = 1.0
 	// MinSLORequests is the sample floor below which burn flags never
@@ -64,6 +56,16 @@ const (
 	// 404 traffic is counted without letting attackers mint unbounded
 	// label cardinality.
 	OtherEndpoint = "other"
+
+	// slowRingCapacity bounds the slow-request ring.
+	slowRingCapacity = 64
+	// slowThreshold is the latency at or above which a request enters
+	// the slow ring.
+	slowThreshold = 100 * time.Millisecond
+	// quantileWindow sizes the per-endpoint RingQuantile window backing
+	// p50/p95/p99. Inserts are O(window) memmoves, so the window trades
+	// percentile fidelity against the per-request budget.
+	quantileWindow = 256
 )
 
 // numBuckets covers log2 latency buckets up to 2^39 ns (~9 minutes);
@@ -76,18 +78,6 @@ type Config struct {
 	// paths). Requests to any other path are accounted under
 	// OtherEndpoint. More patterns can be added later with Register.
 	Endpoints []string
-	// SlowRingCapacity bounds the slow-request ring (0 = default).
-	SlowRingCapacity int
-	// SlowThreshold is the latency above which a request is recorded in
-	// the slow ring. 0 = default; negative disables the ring.
-	SlowThreshold time.Duration
-	// QuantileWindow sizes the per-endpoint percentile window (0 =
-	// default).
-	QuantileWindow int
-	// SLOLatencyMs / SLOErrorPct are the initial per-endpoint targets
-	// (0 = default). Adjustable at runtime with SetSLO.
-	SLOLatencyMs float64
-	SLOErrorPct  float64
 	// Now overrides the clock (tests inject deterministic time). nil =
 	// time.Now.
 	Now func() time.Time
@@ -97,9 +87,6 @@ type Config struct {
 type Obs struct {
 	now   func() time.Time
 	start time.Time
-
-	quantileWindow  int
-	slowThresholdNs int64 // <0: ring disabled
 
 	sloLatencyMs atomic.Uint64 // float64 bits
 	sloErrorPct  atomic.Uint64 // float64 bits
@@ -113,7 +100,7 @@ type Obs struct {
 	tracer atomic.Pointer[spantrace.Recorder]
 
 	slowMu      sync.Mutex
-	slow        []SlowRequest
+	slow        [slowRingCapacity]SlowRequest
 	slowStart   int
 	slowN       int
 	slowDropped uint64
@@ -134,51 +121,26 @@ type endpointStats struct {
 	bytesOut atomic.Uint64
 	gzipHits atomic.Uint64
 	inflight atomic.Int64
-	totalNs  atomic.Uint64
 	maxNs    atomic.Uint64
 	buckets  [numBuckets]atomic.Uint64
 	inSLO    atomic.Uint64 // completed within the latency target of the time
 
 	mu sync.Mutex
-	wf stats.Welford      // latency ms, lifetime
+	wf stats.Welford       // latency ms, lifetime
 	rq *stats.RingQuantile // latency ms, recent window
 }
 
-// New builds an observer.
+// New builds an observer with the default serving targets.
 func New(cfg Config) *Obs {
 	o := &Obs{
-		now:            cfg.Now,
-		quantileWindow: cfg.QuantileWindow,
-		endpoints:      map[string]*endpointStats{},
+		now:       cfg.Now,
+		endpoints: map[string]*endpointStats{},
 	}
 	if o.now == nil {
 		o.now = time.Now
 	}
 	o.start = o.now()
-	if o.quantileWindow <= 0 {
-		o.quantileWindow = DefaultQuantileWindow
-	}
-	switch {
-	case cfg.SlowThreshold < 0:
-		o.slowThresholdNs = -1
-	case cfg.SlowThreshold == 0:
-		o.slowThresholdNs = DefaultSlowThreshold.Nanoseconds()
-	default:
-		o.slowThresholdNs = cfg.SlowThreshold.Nanoseconds()
-	}
-	capSlow := cfg.SlowRingCapacity
-	if capSlow <= 0 {
-		capSlow = DefaultSlowRingCapacity
-	}
-	o.slow = make([]SlowRequest, capSlow)
-	lat, errPct := cfg.SLOLatencyMs, cfg.SLOErrorPct
-	if lat <= 0 {
-		lat = DefaultSLOLatencyMs
-	}
-	if errPct <= 0 {
-		errPct = DefaultSLOErrorPct
-	}
-	o.SetSLO(lat, errPct)
+	o.SetSLO(DefaultSLOLatencyMs, DefaultSLOErrorPct)
 	for _, ep := range cfg.Endpoints {
 		o.Register(ep)
 	}
@@ -199,7 +161,7 @@ func (o *Obs) Register(pattern string) {
 	}
 	o.endpoints[pattern] = &endpointStats{
 		name: pattern,
-		rq:   stats.NewRingQuantile(o.quantileWindow),
+		rq:   stats.NewRingQuantile(quantileWindow),
 	}
 }
 
@@ -326,14 +288,13 @@ func (o *Obs) record(ep *endpointStats, r *http.Request, status int, bytesOut in
 	if gz {
 		ep.gzipHits.Add(1)
 	}
-	ep.totalNs.Add(uint64(durNs))
 	for {
 		cur := ep.maxNs.Load()
 		if uint64(durNs) <= cur || ep.maxNs.CompareAndSwap(cur, uint64(durNs)) {
 			break
 		}
 	}
-	ep.buckets[log2Bucket(durNs)].Add(1)
+	ep.buckets[latencyBucket(durNs)].Add(1)
 	ms := float64(durNs) / 1e6
 	lat, _ := o.SLO()
 	if ms <= lat {
@@ -344,7 +305,7 @@ func (o *Obs) record(ep *endpointStats, r *http.Request, status int, bytesOut in
 	ep.rq.Add(ms)
 	ep.mu.Unlock()
 
-	if o.slowThresholdNs >= 0 && durNs >= o.slowThresholdNs {
+	if durNs >= slowThreshold.Nanoseconds() {
 		o.pushSlow(SlowRequest{
 			Method:   r.Method,
 			Path:     r.URL.Path,
@@ -379,16 +340,12 @@ func (o *Obs) pushSlow(s SlowRequest) {
 	o.slowMu.Unlock()
 }
 
-// log2Bucket returns floor(log2(ns)) clamped into [0, numBuckets).
-func log2Bucket(ns int64) int {
-	if ns < 1 {
-		return 0
-	}
-	b := 63 - bits.LeadingZeros64(uint64(ns))
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
+// latencyBucket returns floor(log2(ns)) clamped into [0, numBuckets).
+// The float conversion can round an int64 above 2^53 up to the next
+// power of two, but every such value already clamps into the last
+// bucket.
+func latencyBucket(ns int64) int {
+	return min(stats.Log2Bucket(float64(ns)), numBuckets-1)
 }
 
 // SlowRequest is one slow-ring entry.

@@ -3,6 +3,8 @@ package httpobs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,7 +88,7 @@ func TestEndpointAccounting(t *testing.T) {
 			w.WriteHeader(404)
 		}
 	}
-	r := newRig(Config{Endpoints: []string{"/ok", "/gz", "/fail"}, SlowThreshold: -1}, inner)
+	r := newRig(Config{Endpoints: []string{"/ok", "/gz", "/fail"}}, inner)
 	r.clock.setStep(2 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		r.do("GET", "/ok")
@@ -139,18 +141,14 @@ func TestEndpointAccounting(t *testing.T) {
 
 func TestSlowRingWraparound(t *testing.T) {
 	inner := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) }
-	r := newRig(Config{
-		Endpoints:        []string{"/x"},
-		SlowRingCapacity: 4,
-		SlowThreshold:    time.Millisecond,
-	}, inner)
-	r.clock.setStep(5 * time.Millisecond) // every request is slow
-	for i := 0; i < 10; i++ {
+	r := newRig(Config{Endpoints: []string{"/x"}}, inner)
+	r.clock.setStep(150 * time.Millisecond) // every request is slow
+	for i := 0; i < slowRingCapacity+6; i++ {
 		r.do("GET", fmt.Sprintf("/x?i=%d", i))
 	}
 	st := r.obs.Report()
-	if len(st.SlowRequests) != 4 {
-		t.Fatalf("slow ring holds %d, want 4", len(st.SlowRequests))
+	if len(st.SlowRequests) != slowRingCapacity {
+		t.Fatalf("slow ring holds %d, want %d", len(st.SlowRequests), slowRingCapacity)
 	}
 	if st.SlowDropped != 6 {
 		t.Fatalf("slow dropped = %d, want 6", st.SlowDropped)
@@ -162,14 +160,14 @@ func TestSlowRingWraparound(t *testing.T) {
 			t.Fatalf("slow ring not time-ordered: %+v", st.SlowRequests)
 		}
 	}
-	if got := st.SlowRequests[0]; got.Method != "GET" || got.Path != "/x" || got.Status != 200 || got.DurMs != 5 {
+	if got := st.SlowRequests[0]; got.Method != "GET" || got.Path != "/x" || got.Status != 200 || got.DurMs != 150 {
 		t.Fatalf("slow entry %+v", got)
 	}
 
 	// Fast requests stay out of the ring.
 	r.clock.setStep(10 * time.Microsecond)
 	r.do("GET", "/x")
-	if st = r.obs.Report(); len(st.SlowRequests) != 4 || st.SlowDropped != 6 {
+	if st = r.obs.Report(); len(st.SlowRequests) != slowRingCapacity || st.SlowDropped != 6 {
 		t.Fatalf("fast request entered the slow ring: %+v", st.SlowRequests)
 	}
 }
@@ -182,12 +180,8 @@ func TestSLOBurnFlags(t *testing.T) {
 		}
 		w.WriteHeader(200)
 	}
-	r := newRig(Config{
-		Endpoints:     []string{"/fast", "/slow", "/err"},
-		SLOLatencyMs:  10,
-		SLOErrorPct:   1.0,
-		SlowThreshold: -1,
-	}, inner)
+	r := newRig(Config{Endpoints: []string{"/fast", "/slow", "/err"}}, inner)
+	r.obs.SetSLO(10, 1.0)
 
 	// Below the sample floor nothing burns, however bad the latencies.
 	r.clock.setStep(50 * time.Millisecond)
@@ -285,7 +279,7 @@ func TestInFlightGauge(t *testing.T) {
 
 func TestSpanEmission(t *testing.T) {
 	inner := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("12345")) }
-	r := newRig(Config{Endpoints: []string{"/health"}, SlowThreshold: -1}, inner)
+	r := newRig(Config{Endpoints: []string{"/health"}}, inner)
 	rec := spantrace.New(spantrace.Config{})
 	rec.Enable()
 	r.obs.AttachTracer(rec)
@@ -334,8 +328,8 @@ func TestWritePrometheus(t *testing.T) {
 		}
 		w.Write([]byte("ok"))
 	}
-	r := newRig(Config{Endpoints: []string{"/q", "/fail"}, SlowThreshold: time.Millisecond}, inner)
-	r.clock.setStep(4 * time.Millisecond)
+	r := newRig(Config{Endpoints: []string{"/q", "/fail"}}, inner)
+	r.clock.setStep(200 * time.Millisecond) // slow, but within the 250ms SLO
 	r.do("GET", "/q")
 	r.do("GET", "/q")
 	r.do("GET", "/fail")
@@ -349,7 +343,7 @@ func TestWritePrometheus(t *testing.T) {
 		`hetpapid_http_errors_total{endpoint="/fail"} 1`,
 		`hetpapid_http_in_flight{endpoint="/q"} 0`,
 		`hetpapid_http_response_bytes_total{endpoint="/q"} 4`,
-		`hetpapid_http_latency_ms{endpoint="/q",quantile="0.99"} 4`,
+		`hetpapid_http_latency_ms{endpoint="/q",quantile="0.99"} 200`,
 		`hetpapid_http_slo_attainment_pct{endpoint="/q"} 100`,
 		`hetpapid_http_slo_burn{endpoint="/q",kind="latency"} 0`,
 		`hetpapid_http_slow_requests{ring="slow"} 3`,
@@ -369,10 +363,13 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 // TestConcurrentTraffic drives parallel requests and scrapes through
-// the middleware; the race detector is the assertion.
+// the middleware; the race detector is the assertion. The fake clock
+// makes every request slow, so the slow ring wraps under contention.
 func TestConcurrentTraffic(t *testing.T) {
 	inner := func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("x")) }
-	o := New(Config{Endpoints: []string{"/a", "/b"}, SlowThreshold: time.Nanosecond})
+	clock := newFakeClock()
+	clock.setStep(slowThreshold)
+	o := New(Config{Endpoints: []string{"/a", "/b"}, Now: clock.Now})
 	h := o.Middleware(http.HandlerFunc(inner))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -418,17 +415,27 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// TestLog2Bucket checks that latencyBucket is floor(log2(ns)) clamped
+// into the histogram for every int64 magnitude: around each power of
+// two it agrees with the bit-length form, and the extremes clamp.
 func TestLog2Bucket(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 1}, {1024, 10},
-		{2_000_000, 20}, {1 << 39, numBuckets - 1}, {1 << 62, numBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := log2Bucket(c.ns); got != c.want {
-			t.Errorf("log2Bucket(%d) = %d, want %d", c.ns, got, c.want)
+	want := func(ns int64) int {
+		if ns < 1 {
+			return 0
 		}
+		return min(63-bits.LeadingZeros64(uint64(ns)), numBuckets-1)
+	}
+	cases := []int64{math.MinInt64, -5, 0, 2_000_000, math.MaxInt64}
+	for k := 0; k < 63; k++ {
+		p := int64(1) << k
+		cases = append(cases, p-1, p, p+1)
+	}
+	for _, ns := range cases {
+		if got := latencyBucket(ns); got != want(ns) {
+			t.Errorf("latencyBucket(%d) = %d, want %d", ns, got, want(ns))
+		}
+	}
+	if latencyBucket(1<<39) != numBuckets-1 || latencyBucket(1<<62) != numBuckets-1 {
+		t.Error("latencies past 2^39 ns must clamp into the last bucket")
 	}
 }

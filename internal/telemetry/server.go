@@ -698,34 +698,24 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricFamily accumulates one exposition family's sample lines.
-type metricFamily struct {
-	name, help, kind string
-	lines            []string
-}
-
-func (f *metricFamily) add(labels string, v float64) {
-	f.lines = append(f.lines, fmt.Sprintf("%s{%s} %g", f.name, labels, v))
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	freq := &metricFamily{name: "hetpapi_cpu_frequency_mhz", help: "Per-CPU frequency during the last tick.", kind: "gauge"}
-	temp := &metricFamily{name: "hetpapi_pkg_temperature_celsius", help: "Package thermal zone temperature.", kind: "gauge"}
-	pwr := &metricFamily{name: "hetpapi_pkg_power_watts", help: "Package power over the last tick.", kind: "gauge"}
-	wall := &metricFamily{name: "hetpapi_wall_power_watts", help: "AC-side wall meter power.", kind: "gauge"}
-	energy := &metricFamily{name: "hetpapi_pkg_energy_joules_total", help: "Cumulative RAPL package energy.", kind: "counter"}
-	ctr := &metricFamily{name: "hetpapi_counter_total", help: "System-wide perf counter value per CPU, core type and event kind.", kind: "counter"}
-	degr := &metricFamily{name: "hetpapi_degradation_total", help: "Graceful-degradation actions performed by the measurement probe, by action.", kind: "counter"}
-	ticks := &metricFamily{name: "hetpapid_ticks_total", help: "Simulator ticks observed by the collector.", kind: "counter"}
-	runs := &metricFamily{name: "hetpapid_runs_total", help: "Completed scenario runs.", kind: "counter"}
-	ingest := &metricFamily{name: "hetpapid_ingest_seconds_total", help: "Wall-clock seconds spent in telemetry ingestion.", kind: "counter"}
-	ovhTick := &metricFamily{name: "hetpapid_overhead_per_tick_seconds", help: "Mean ingestion wall time per simulator tick.", kind: "gauge"}
-	ovhRatio := &metricFamily{name: "hetpapid_overhead_ratio", help: "Ingestion wall time as a fraction of the run loop wall time.", kind: "gauge"}
-	spEmit := &metricFamily{name: "hetpapid_spans_emitted_total", help: "Span-trace events accepted by the machine's recorder.", kind: "counter"}
-	spKeep := &metricFamily{name: "hetpapid_spans_retained", help: "Span-trace events currently held in the recorder's rings.", kind: "gauge"}
-	spDrop := &metricFamily{name: "hetpapid_spans_dropped_total", help: "Span-trace events dropped by ring wraparound or rejected as malformed.", kind: "counter"}
-	pfEmit := &metricFamily{name: "hetpapiprof_samples_emitted_total", help: "Overflow sample records retained by the machine's statistical profiler.", kind: "counter"}
-	pfLost := &metricFamily{name: "hetpapiprof_samples_lost_total", help: "Overflow sample records dropped by ring pressure before a drain.", kind: "counter"}
+	freq := &httpobs.Family{Name: "hetpapi_cpu_frequency_mhz", Help: "Per-CPU frequency during the last tick.", Kind: "gauge"}
+	temp := &httpobs.Family{Name: "hetpapi_pkg_temperature_celsius", Help: "Package thermal zone temperature.", Kind: "gauge"}
+	pwr := &httpobs.Family{Name: "hetpapi_pkg_power_watts", Help: "Package power over the last tick.", Kind: "gauge"}
+	wall := &httpobs.Family{Name: "hetpapi_wall_power_watts", Help: "AC-side wall meter power.", Kind: "gauge"}
+	energy := &httpobs.Family{Name: "hetpapi_pkg_energy_joules_total", Help: "Cumulative RAPL package energy.", Kind: "counter"}
+	ctr := &httpobs.Family{Name: "hetpapi_counter_total", Help: "System-wide perf counter value per CPU, core type and event kind.", Kind: "counter"}
+	degr := &httpobs.Family{Name: "hetpapi_degradation_total", Help: "Graceful-degradation actions performed by the measurement probe, by action.", Kind: "counter"}
+	ticks := &httpobs.Family{Name: "hetpapid_ticks_total", Help: "Simulator ticks observed by the collector.", Kind: "counter"}
+	runs := &httpobs.Family{Name: "hetpapid_runs_total", Help: "Completed scenario runs.", Kind: "counter"}
+	ingest := &httpobs.Family{Name: "hetpapid_ingest_seconds_total", Help: "Wall-clock seconds spent in telemetry ingestion.", Kind: "counter"}
+	ovhTick := &httpobs.Family{Name: "hetpapid_overhead_per_tick_seconds", Help: "Mean ingestion wall time per simulator tick.", Kind: "gauge"}
+	ovhRatio := &httpobs.Family{Name: "hetpapid_overhead_ratio", Help: "Ingestion wall time as a fraction of the run loop wall time.", Kind: "gauge"}
+	spEmit := &httpobs.Family{Name: "hetpapid_spans_emitted_total", Help: "Span-trace events accepted by the machine's recorder.", Kind: "counter"}
+	spKeep := &httpobs.Family{Name: "hetpapid_spans_retained", Help: "Span-trace events currently held in the recorder's rings.", Kind: "gauge"}
+	spDrop := &httpobs.Family{Name: "hetpapid_spans_dropped_total", Help: "Span-trace events dropped by ring wraparound or rejected as malformed.", Kind: "counter"}
+	pfEmit := &httpobs.Family{Name: "hetpapiprof_samples_emitted_total", Help: "Overflow sample records retained by the machine's statistical profiler.", Kind: "counter"}
+	pfLost := &httpobs.Family{Name: "hetpapiprof_samples_lost_total", Help: "Overflow sample records dropped by ring pressure before a drain.", Kind: "counter"}
 
 	for _, machine := range s.store.Machines() {
 		ml := fmt.Sprintf("machine=%q", machine)
@@ -737,20 +727,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			switch {
 			case strings.HasPrefix(name, "cpu") && strings.HasSuffix(name, "_mhz"):
 				cpu := strings.TrimSuffix(strings.TrimPrefix(name, "cpu"), "_mhz")
-				freq.add(fmt.Sprintf("%s,cpu=%q", ml, cpu), last)
+				freq.Add(fmt.Sprintf("%s,cpu=%q", ml, cpu), last)
 			case name == "temp_c":
-				temp.add(ml, last)
+				temp.Add(ml, last)
 			case name == "power_w":
-				pwr.add(ml, last)
+				pwr.Add(ml, last)
 			case name == "wall_w":
-				wall.add(ml, last)
+				wall.Add(ml, last)
 			case name == "energy_j":
-				energy.add(ml, last)
+				energy.Add(ml, last)
 			case strings.HasPrefix(name, "degradation/"):
-				degr.add(fmt.Sprintf("%s,action=%q", ml, strings.TrimPrefix(name, "degradation/")), last)
+				degr.Add(fmt.Sprintf("%s,action=%q", ml, strings.TrimPrefix(name, "degradation/")), last)
 			default:
 				if cpu, typeName, kind, ok := parseCounterSeries(name); ok {
-					ctr.add(fmt.Sprintf("%s,cpu=%q,type=%q,kind=%q", ml, cpu, typeName, kind), last)
+					ctr.Add(fmt.Sprintf("%s,cpu=%q,type=%q,kind=%q", ml, cpu, typeName, kind), last)
 				}
 			}
 		}
@@ -765,34 +755,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		e := s.machines[name]
 		ml := fmt.Sprintf("machine=%q", name)
-		ticks.add(ml, float64(e.col.Ticks()))
-		runs.add(ml, float64(e.col.Runs()))
-		ingest.add(ml, e.col.IngestSec())
-		ovhTick.add(ml, e.col.OverheadPerTickSec())
-		ovhRatio.add(ml, e.col.OverheadRatio())
+		ticks.Add(ml, float64(e.col.Ticks()))
+		runs.Add(ml, float64(e.col.Runs()))
+		ingest.Add(ml, e.col.IngestSec())
+		ovhTick.Add(ml, e.col.OverheadPerTickSec())
+		ovhRatio.Add(ml, e.col.OverheadRatio())
 		if rec := e.recorder(); rec != nil {
 			st := rec.Stats()
-			spEmit.add(ml, float64(st.Emitted))
-			spKeep.add(ml, float64(st.Retained))
-			spDrop.add(ml, float64(st.Dropped))
+			spEmit.Add(ml, float64(st.Emitted))
+			spKeep.Add(ml, float64(st.Retained))
+			spDrop.Add(ml, float64(st.Dropped))
 		}
 		if col := e.profiler(); col != nil {
-			pfEmit.add(ml, float64(col.EmittedTotal()))
-			pfLost.add(ml, float64(col.LostTotal()))
+			pfEmit.Add(ml, float64(col.EmittedTotal()))
+			pfLost.Add(ml, float64(col.LostTotal()))
 		}
 	}
 	s.mu.RUnlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, f := range []*metricFamily{freq, temp, pwr, wall, energy, ctr, degr, ticks, runs, ingest, ovhTick, ovhRatio, spEmit, spKeep, spDrop, pfEmit, pfLost} {
-		if len(f.lines) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, line := range f.lines {
-			fmt.Fprintln(w, line)
-		}
-	}
+	httpobs.WriteFamilies(w, freq, temp, pwr, wall, energy, ctr, degr, ticks, runs, ingest, ovhTick, ovhRatio, spEmit, spKeep, spDrop, pfEmit, pfLost)
 	// The serving path's own families (hetpapid_http_*).
 	s.obs.WritePrometheus(w)
 }

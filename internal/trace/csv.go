@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"hetpapi/internal/stats"
 )
 
 // CSV round-trip for monitoring traces: the mon_hpl.py artifact writes one
@@ -137,7 +139,7 @@ func Summarize(samples []Sample) Summary {
 	ncpu := len(samples[0].FreqMHz)
 	sum.MedianFreqMHz = make([]float64, ncpu)
 	for cpu := 0; cpu < ncpu; cpu++ {
-		sum.MedianFreqMHz[cpu] = median(FreqSeries(samples, cpu))
+		sum.MedianFreqMHz[cpu] = stats.Median(FreqSeries(samples, cpu))
 	}
 	power := PowerSeries(samples)
 	if len(power) > 1 {
@@ -159,23 +161,4 @@ func Summarize(samples []Sample) Summary {
 		}
 	}
 	return sum
-}
-
-// median avoids importing internal/stats here (trace must stay low in the
-// dependency stack for the exp package).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
